@@ -142,6 +142,10 @@ class PartialPayload:
     buffers: "Dict[int, np.ndarray]"
     #: Which pipeline slice this payload carries (0 when unsliced).
     slice_index: int = 0
+    #: Where the slice starts in each row, and the whole row's length —
+    #: what a live stream's DATA ``offset`` and BEGIN ``row_len`` carry.
+    offset: int = 0
+    row_len: int = 0
 
 
 @dataclass

@@ -17,7 +17,7 @@ verifiable; all timing uses modeled byte counts.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.fs.messages import (
     RawPayload,
     compute_partial,
 )
-from repro.codes.recipe import RepairRecipe
+from repro.repair.aggregate import PartialAggregation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.fs.cluster import StorageCluster
@@ -94,28 +94,6 @@ class StorageNode:
         raise SimulationError(f"unroutable payload {payload!r} at {self.node_id}")
 
 
-def _partial_modeled_bytes(
-    partial: "Dict[int, np.ndarray]", rows: int, chunk_size: float,
-    num_slices: int,
-) -> float:
-    """Modeled bytes one slice of a partial map occupies in memory."""
-    if not partial:
-        return 0.0
-    return len(partial) / rows * chunk_size / num_slices
-
-
-def _slice_view(
-    buffers: "Dict[int, np.ndarray]", num_slices: int, index: int
-) -> "Dict[int, np.ndarray]":
-    """Slice ``index`` of every row buffer (consistent integer bounds)."""
-    out: "Dict[int, np.ndarray]" = {}
-    for row, buf in buffers.items():
-        lo = buf.size * index // num_slices
-        hi = buf.size * (index + 1) // num_slices
-        out[row] = buf[lo:hi].copy()
-    return out
-
-
 class PartialAggregationTask:
     """One node's role in a PPR/chain reduction (§6.2 state machine).
 
@@ -123,7 +101,9 @@ class PartialAggregationTask:
     into S slices that flow through the plan independently, so a node
     forwards slice ``s`` as soon as its own read and every child's slice
     ``s`` are in — the repair-pipelining extension.  ``S == 1`` reproduces
-    the paper's store-and-forward PPR exactly.
+    the paper's store-and-forward PPR exactly.  The aggregation itself is
+    :class:`~repro.repair.aggregate.PartialAggregation`; this driver adds
+    the simulated disk, compute and network time around it.
     """
 
     def __init__(
@@ -135,21 +115,27 @@ class PartialAggregationTask:
         self.node = node
         self.context = context
         self.request = request
-        self.slices = max(1, request.num_slices)
-        #: per-slice accumulated partial: slice -> {lost_row -> buffer}.
-        self.partial: "List[Dict[int, np.ndarray]]" = [
-            {} for _ in range(self.slices)
-        ]
-        self.expected_per_slice = len(request.children) + (
-            1 if request.chunk_id else 0
+        self.agg = PartialAggregation(
+            request.repair_id,
+            request.children,
+            own=node.node_id if request.chunk_id is not None else None,
+            rows=request.rows,
+            num_slices=request.num_slices,
         )
-        self.received = [0] * self.slices
+        self.slices = self.agg.num_slices
         self.completed_slices = 0
         self.done = False
         self._local_partial: "Optional[Dict[int, np.ndarray]]" = None
         node.tasks[request.repair_id] = self
         context.register_task(self)
         self._start()
+
+    def _modeled_bytes(self, index: int) -> float:
+        """Modeled bytes slice ``index`` of the partial occupies in memory."""
+        count = self.agg.rows_in_slice(index)
+        if not count:
+            return 0.0
+        return count / self.request.rows * self.request.chunk_size / self.slices
 
     # -- startup -------------------------------------------------------
     def _start(self) -> None:
@@ -159,7 +145,7 @@ class PartialAggregationTask:
         self.context.send_leaf_requests(self.node.node_id)
         if req.chunk_id is not None:
             self._begin_local_reads()
-        if self.expected_per_slice == 0:
+        if not self.agg.contributors:
             for index in range(self.slices):
                 self._slice_complete(index)
 
@@ -211,42 +197,20 @@ class PartialAggregationTask:
     def _local_slice_ready(self, index: int) -> None:
         req = self.request
         read_bytes = req.read_fraction * req.chunk_size / self.slices
-        duration = self.context.compute.multiply_time(read_bytes)
-        compute_start = self.node.sim.now
-
-        def on_multiplied() -> None:
-            if self.done or not self.node.alive:
-                return  # the server died under us; the RM will reschedule
-            self.context.record_phase(
-                "compute",
-                compute_start,
-                self.node.sim.now,
-                node_id=self.node.node_id,
-                op="multiply",
-            )
-            local = _slice_view(
-                self._ensure_local_partial(), self.slices, index
-            )
-            req2 = self.request
-            before = _partial_modeled_bytes(
-                self.partial[index], req2.rows, req2.chunk_size, self.slices
-            )
-            self.partial[index] = RepairRecipe.merge_partials(
-                self.partial[index], local
-            )
-            after = _partial_modeled_bytes(
-                self.partial[index], req2.rows, req2.chunk_size, self.slices
-            )
-            self.context.note_buffer(self.node.node_id, after - before)
-            self._input_done(index)
-
-        self.node.schedule_compute(duration, on_multiplied)
+        self._merge_after(
+            self.context.compute.multiply_time(read_bytes),
+            index,
+            0.0,
+            lambda: self.agg.merge_rows(
+                self.node.node_id, self._ensure_local_partial(), index
+            ),
+            op="multiply",
+        )
 
     # -- downstream partials -------------------------------------------
     def on_payload(self, payload: PartialPayload) -> None:
         if self.done:
             return
-        index = payload.slice_index
         nbytes = (
             len(payload.buffers)
             / self.request.rows
@@ -254,42 +218,56 @@ class PartialAggregationTask:
             / self.slices
         )
         duration = self.context.compute.xor_time(nbytes)
-        start = self.node.sim.now
         self.context.note_buffer(self.node.node_id, nbytes)
+        if payload.row_len:
+            self.agg.set_row_len(payload.row_len)
+        self._merge_after(
+            duration,
+            payload.slice_index,
+            nbytes,
+            lambda: self.agg.merge(
+                payload.sender,
+                payload.slice_index,
+                payload.offset,
+                payload.buffers,
+            ),
+            op="xor",
+            nbytes=nbytes,
+        )
 
-        def on_xored() -> None:
+    def _merge_after(
+        self,
+        duration: float,
+        index: int,
+        received: float,
+        merge: "Callable[[], Optional[List[int]]]",
+        **phase: object,
+    ) -> None:
+        """After ``duration`` of compute, fold one input into slice
+        ``index``; ``received`` is the modeled receive buffer it held."""
+        start = self.node.sim.now
+
+        def on_computed() -> None:
             if self.done or not self.node.alive:
-                return
+                return  # the server died under us; the RM will reschedule
             self.context.record_phase(
                 "compute",
                 start,
                 self.node.sim.now,
                 node_id=self.node.node_id,
-                op="xor",
-                nbytes=nbytes,
+                **phase,
             )
-            req2 = self.request
-            before = _partial_modeled_bytes(
-                self.partial[index], req2.rows, req2.chunk_size, self.slices
-            )
-            self.partial[index] = RepairRecipe.merge_partials(
-                self.partial[index], payload.buffers
-            )
-            after = _partial_modeled_bytes(
-                self.partial[index], req2.rows, req2.chunk_size, self.slices
-            )
-            # The receive buffer is folded into the partial.
+            before = self._modeled_bytes(index)
+            ready = merge()
+            after = self._modeled_bytes(index)
+            # A received buffer is folded into the partial.
             self.context.note_buffer(
-                self.node.node_id, (after - before) - nbytes
+                self.node.node_id, (after - before) - received
             )
-            self._input_done(index)
+            for ready_index in ready or ():
+                self._slice_complete(ready_index)
 
-        self.node.schedule_compute(duration, on_xored)
-
-    def _input_done(self, index: int) -> None:
-        self.received[index] += 1
-        if self.received[index] == self.expected_per_slice:
-            self._slice_complete(index)
+        self.node.schedule_compute(duration, on_computed)
 
     # -- completion ------------------------------------------------------
     def _slice_complete(self, index: int) -> None:
@@ -300,8 +278,10 @@ class PartialAggregationTask:
             payload = PartialPayload(
                 repair_id=req.repair_id,
                 sender=self.node.node_id,
-                buffers=self.partial[index],
+                buffers=self.agg.slice_rows(index),
                 slice_index=index,
+                offset=self.agg.bounds[index],
+                row_len=self.agg.row_len,
             )
             self.context.start_transfer(
                 src=self.node.node_id,
@@ -310,10 +290,7 @@ class PartialAggregationTask:
                 payload=payload,
             )
             self.context.note_buffer(
-                self.node.node_id,
-                -_partial_modeled_bytes(
-                    self.partial[index], req.rows, req.chunk_size, self.slices
-                ),
+                self.node.node_id, -self._modeled_bytes(index)
             )
         self.completed_slices += 1
         if self.completed_slices < self.slices:
@@ -322,21 +299,8 @@ class PartialAggregationTask:
         self.node.tasks.pop(req.repair_id, None)
         self.node.task_finished(req.repair_id)
         if req.parent is None:
-            # This node is the repair destination: stitch slices back.
-            rows: "Dict[int, np.ndarray]" = {}
-            row_keys = set()
-            for piece in self.partial:
-                row_keys.update(piece.keys())
-            for row in row_keys:
-                rows[row] = np.concatenate(
-                    [
-                        piece[row]
-                        for piece in self.partial
-                        if row in piece
-                    ]
-                )
-            chunk_payload = self.context.recipe.assemble(rows)
-            self.context.finish_at_destination(self.node, chunk_payload)
+            # This node is the repair destination: its rows are the chunk.
+            self.context.finish_at_destination(self.node, self.agg.assemble())
 
 
 class RawCollectionTask:

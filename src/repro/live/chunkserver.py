@@ -20,9 +20,10 @@ execution paths over sockets:
   ``i`` upstream the moment its subtree has delivered slice ``i``, which
   is what drives repair time toward C/B (Li et al., repair pipelining).
 
-Partial results are deduplicated by sender so RPC retries are idempotent,
-and results that arrive before their plan command are buffered briefly
-(frames from different peers race on real sockets).
+The bytes are aggregated by :class:`repro.repair.aggregate.PartialAggregation`,
+the same core the simulator drives, which drops duplicate inputs so RPC
+retries are idempotent.  Inputs that arrive before their plan command
+wait for it briefly (frames from different peers race on real sockets).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 from repro import obs
 from repro.errors import (
     ChunkNotFoundError,
+    CodingError,
     LiveRepairError,
     RepairAbortedError,
     RpcError,
@@ -49,7 +51,6 @@ from repro.fs.messages import (
     extract_rows,
     recipe_from_wire,
 )
-from repro.codes.recipe import RepairRecipe
 from repro.live import trace
 from repro.live.config import LiveConfig
 from repro.live.rpc import (
@@ -60,7 +61,7 @@ from repro.live.rpc import (
     StreamInbox,
     StreamSender,
 )
-from repro.live.wire import Frame, MessageType, slice_bounds
+from repro.live.wire import Frame, MessageType
 from repro.obs import causal, profiler
 from repro.obs.anomaly import Anomaly, AnomalyEngine, StalledStreamDetector
 from repro.obs.collector import TelemetryShipper
@@ -70,6 +71,7 @@ from repro.obs.metrics import Histogram
 from repro.obs.timeseries import Sampler, TimeSeriesStore
 from repro.qos.admission import FOREGROUND, REPAIR, TokenBucket
 from repro.qos.slo import QOS_BUCKETS, LatencyReservoir
+from repro.repair.aggregate import PartialAggregation
 from repro.sim.metrics import PHASES
 
 
@@ -84,21 +86,14 @@ class LiveChunk:
 
 
 @dataclass
-class _PartialTask:
-    """Per-repair aggregation state at one server (§6.2, live edition)."""
+class _RepairTrace:
+    """The trace and causal records one repair accumulates at a server."""
 
-    request: PartialOpRequest
-    peers: "Dict[str, Address]"
-    partial: "Dict[int, np.ndarray]" = field(default_factory=dict)
-    received: "Set[str]" = field(default_factory=set)
-    local_done: bool = False
-    trace: "List[trace.TraceRecord]" = field(default_factory=list)
-    traffic: "List[trace.TrafficRecord]" = field(default_factory=list)
-    inputs_ready: asyncio.Event = field(default_factory=asyncio.Event)
-    aborted: bool = False
     #: Causal context of the repair (None = untraced: records carry no
     #: gid/deps and cost nothing extra).
     ctx: "Optional[causal.SpanContext]" = None
+    trace: "List[trace.TraceRecord]" = field(default_factory=list)
+    traffic: "List[trace.TrafficRecord]" = field(default_factory=list)
     #: gids of the records whose outputs form the current partial state
     #: (local multiply, then each merge/assemble collapses them to one).
     state_deps: "List[str]" = field(default_factory=list)
@@ -106,159 +101,58 @@ class _PartialTask:
     #: depends on it, encoding the ingress-link serialization that makes
     #: Theorem 1's step count observable in a stitched DAG.
     last_net_gid: "Optional[str]" = None
-    #: Streaming (num_slices > 1): bytes per partial row, learned from
-    #: the local chunk or the first STREAM_BEGIN.
-    row_len: int = 0
-    #: Streaming: per-slice set of child senders whose segment has been
-    #: GF-merged (the dedup that makes DATA retries idempotent).
-    slice_got: "Dict[int, Set[str]]" = field(default_factory=dict)
-    #: Streaming: per-slice readiness events — slice ``i`` is ready once
-    #: the local partial is in and every child's segment ``i`` is merged.
-    slice_events: "Dict[int, asyncio.Event]" = field(default_factory=dict)
 
-    @property
-    def num_slices(self) -> int:
-        return self.request.num_slices
 
-    @property
-    def expected_inputs(self) -> int:
-        return len(self.request.children) + (
-            1 if self.request.chunk_id is not None else 0
+class _RepairTask(_RepairTrace):
+    """A PPR repair at one server (§6.2, live edition).
+
+    :class:`PartialAggregation` decides everything about the bytes; this
+    adds the asyncio events that wake the coroutines waiting on it.
+    """
+
+    def __init__(
+        self,
+        server_id: str,
+        request: PartialOpRequest,
+        peers: "Dict[str, Address]",
+        ctx: "Optional[causal.SpanContext]",
+    ):
+        super().__init__(ctx=ctx)
+        self.request = request
+        self.peers = peers
+        self.agg = PartialAggregation(
+            request.repair_id,
+            request.children,
+            own=server_id if request.chunk_id is not None else None,
+            rows=request.rows,
+            num_slices=request.num_slices,
+        )
+        self.aborted = False
+        #: set once every input is in: every slice and every child's END.
+        self.inputs_ready = asyncio.Event()
+        #: per slice: set once every contributor has merged it.
+        self.slice_events = [
+            asyncio.Event() for _ in range(self.agg.num_slices)
+        ]
+        self.wake(
+            [i for i in range(self.agg.num_slices) if self.agg.is_ready(i)]
         )
 
-    def _check_ready(self) -> None:
-        done = len(self.received) + (1 if self.local_done else 0)
-        if done >= self.expected_inputs:
+    def wake(self, ready: "Optional[List[int]]") -> bool:
+        """Set the events the core just reported; False on a duplicate."""
+        if ready is None:
+            return False
+        for index in ready:
+            self.slice_events[index].set()
+        if self.agg.complete:
             self.inputs_ready.set()
-
-    def add_local(self, partial: "Dict[int, np.ndarray]") -> None:
-        self.partial = RepairRecipe.merge_partials(self.partial, partial)
-        self.local_done = True
-        self._check_ready()
-        for index in range(self.num_slices):
-            self._refresh_slice(index)
-
-    def add_remote(
-        self,
-        sender: str,
-        buffers: "Dict[int, np.ndarray]",
-        sub_trace: "List[trace.TraceRecord]",
-        sub_traffic: "List[trace.TrafficRecord]",
-    ) -> bool:
-        """Merge a child's partial; False when it is a duplicate."""
-        if sender in self.received or sender not in self.request.children:
-            return False
-        self.received.add(sender)
-        self.partial = RepairRecipe.merge_partials(self.partial, buffers)
-        self.trace.extend(sub_trace)
-        self.traffic.extend(sub_traffic)
-        self._check_ready()
-        return True
-
-    # -- streaming ------------------------------------------------------
-    def set_row_len(self, row_len: int) -> None:
-        """Learn (or validate) the per-row byte length for this repair."""
-        if row_len < 1:
-            raise StreamError(f"bad row_len {row_len}")
-        if self.row_len == 0:
-            self.row_len = row_len
-        elif self.row_len != row_len:
-            raise StreamError(
-                f"row_len mismatch for {self.request.repair_id}: "
-                f"{self.row_len} != {row_len}"
-            )
-
-    def slice_event(self, index: int) -> asyncio.Event:
-        event = self.slice_events.get(index)
-        if event is None:
-            event = asyncio.Event()
-            self.slice_events[index] = event
-            self._refresh_slice(index)
-        return event
-
-    def _refresh_slice(self, index: int) -> None:
-        """Set slice ``index``'s event once every contributor is in."""
-        if self.request.chunk_id is not None and not self.local_done:
-            return
-        if self.slice_got.get(index, set()) >= set(self.request.children):
-            self.slice_event(index).set()
-
-    def merge_segment(
-        self,
-        sender: str,
-        slice_index: int,
-        offset: int,
-        buffers: "Dict[int, np.ndarray]",
-    ) -> bool:
-        """GF-merge one arriving segment in place; False on a duplicate.
-
-        Segments XOR straight into this node's accumulation rows at
-        ``[offset, offset + len)`` — the child's data is consumed as it
-        arrives and never buffered whole.
-        """
-        if sender not in self.request.children:
-            raise StreamError(
-                f"{sender} is not a child in repair {self.request.repair_id}"
-            )
-        if not 0 <= slice_index < self.num_slices:
-            raise StreamError(
-                f"slice {slice_index} out of range for "
-                f"{self.num_slices}-slice repair {self.request.repair_id}"
-            )
-        got = self.slice_got.setdefault(slice_index, set())
-        if sender in got:
-            return False  # duplicate DATA (RPC retry): already merged
-        for row, segment in buffers.items():
-            if offset + segment.size > self.row_len:
-                raise StreamError(
-                    f"segment [{offset}, {offset + segment.size}) overruns "
-                    f"row of {self.row_len} bytes"
-                )
-            buf = self.partial.get(row)
-            if buf is None:
-                buf = np.zeros(self.row_len, dtype=np.uint8)
-                self.partial[row] = buf
-            view = buf[offset : offset + segment.size]
-            np.bitwise_xor(view, segment, out=view)
-        got.add(sender)
-        self._refresh_slice(slice_index)
-        return True
-
-    def add_remote_stream(
-        self,
-        sender: str,
-        sub_trace: "List[trace.TraceRecord]",
-        sub_traffic: "List[trace.TrafficRecord]",
-    ) -> bool:
-        """Bookkeeping for a child's STREAM_END (buffers already merged)."""
-        if sender in self.received or sender not in self.request.children:
-            return False
-        self.received.add(sender)
-        self.trace.extend(sub_trace)
-        self.traffic.extend(sub_traffic)
-        self._check_ready()
         return True
 
     def abort(self) -> None:
         self.aborted = True
         self.inputs_ready.set()
-        for event in self.slice_events.values():
+        for event in self.slice_events:
             event.set()
-
-
-@dataclass
-class _OrphanPartial:
-    """A partial that arrived before this server's plan command."""
-
-    sender: str
-    buffers: "Dict[int, np.ndarray]"
-    sub_trace: "List[trace.TraceRecord]"
-    sub_traffic: "List[trace.TrafficRecord]"
-    arrived: float
-    #: gid of the ingress network record inside ``sub_trace`` (None when
-    #: the sender was untraced); lets adoption splice the record into the
-    #: task's causal chain after the fact.
-    net_gid: "Optional[str]" = None
 
 
 class LiveChunkServer:
@@ -277,12 +171,11 @@ class LiveChunkServer:
         self.alive = False
         self.rpc = RpcServer(server_id, self.config)
         self.pool = RpcClientPool(self.config)
-        self.tasks: "Dict[str, _PartialTask]" = {}
-        self._orphans: "Dict[str, List[_OrphanPartial]]" = {}
+        self.tasks: "Dict[str, _RepairTask]" = {}
         #: Inbound wire streams (v2 sliced transfers), bounded per stream.
         self.inbox = StreamInbox(self.config)
-        #: repair id -> event set when that repair's plan command lands;
-        #: stream consumers that raced ahead of the plan wait on it.
+        #: repair id -> event set when that repair's plan command lands
+        #: (or it is aborted); inputs that raced ahead of the plan wait on it.
         self._plan_events: "Dict[str, asyncio.Event]" = {}
         #: Allocator for causal record ids ("<server>#<n>"); only consulted
         #: while a traced repair is in flight.
@@ -477,8 +370,9 @@ class LiveChunkServer:
         for task_state in self.tasks.values():
             task_state.abort()
         self.tasks.clear()
-        self._orphans.clear()
         self.inbox.close("server shutdown")
+        for event in self._plan_events.values():
+            event.set()
         self._plan_events.clear()
         for task in list(self._background):
             task.cancel()
@@ -756,6 +650,49 @@ class LiveChunkServer:
         gid = self._gids.next()
         return gid, {"gid": gid, "deps": list(deps), "trace_id": ctx.trace_id}
 
+    def _record_arrival(
+        self,
+        task: _RepairTrace,
+        ctx: "Optional[causal.SpanContext]",
+        payload: "Dict[str, object]",
+        sent_at: float,
+        interval: "Tuple[float, float]",
+        records: "List[trace.TraceRecord]",
+        chain: bool = True,
+        **fields: object,
+    ) -> "Optional[str]":
+        """Append a hop's one network record to ``records``; its gid.
+
+        With ``chain``, arrivals share this node's ingress link, so each
+        transfer — unsliced, a whole stream or a staggered raw read —
+        causally follows the previous one (this edge is what realizes
+        Theorem 1's ceil(log2(k+1)) step count).
+        """
+        net_deps = [
+            d for d in payload.get("sent_deps", []) if isinstance(d, str)  # type: ignore[union-attr]
+        ]
+        if chain and task.last_net_gid is not None:
+            net_deps.append(task.last_net_gid)
+        net_gid, net_kw = self._causal_kw(ctx, net_deps)
+        if net_gid is not None:
+            # Raw sender clock: clipping destroys the send/recv pair that
+            # clock-offset estimation needs.
+            net_kw["sent_at"] = sent_at
+            if chain:
+                task.last_net_gid = net_gid
+        records.append(
+            self._account(
+                trace.phase_record(
+                    "network",
+                    *interval,
+                    self.server_id,
+                    **fields,
+                    **net_kw,  # type: ignore[arg-type]
+                )
+            )
+        )
+        return net_gid
+
     def health_summary(self) -> "Dict[str, object]":
         """Point-in-time health: work counters served by STATS/HEALTH."""
         return {
@@ -902,15 +839,14 @@ class LiveChunkServer:
             sid: Address.from_wire(addr)  # type: ignore[arg-type]
             for sid, addr in dict(frame.payload.get("peers", {})).items()  # type: ignore[union-attr]
         }
-        task = _PartialTask(request=request, peers=peers, ctx=causal.current())
+        task = _RepairTask(self.server_id, request, peers, causal.current())
         if request.chunk_id is not None and request.num_slices > 1:
             chunk = self._get_chunk(request.chunk_id)
-            task.set_row_len(chunk.payload.size // max(request.rows, 1))
+            task.agg.set_row_len(chunk.payload.size // max(request.rows, 1))
         self.tasks[request.repair_id] = task
-        self._adopt_orphans(task)
         plan_event = self._plan_events.pop(request.repair_id, None)
         if plan_event is not None:
-            plan_event.set()  # wake stream consumers that raced the plan
+            plan_event.set()  # wake inputs that raced the plan
 
         if request.chunk_id is not None:
             self._spawn(self._compute_local_partial(task))
@@ -925,7 +861,7 @@ class LiveChunkServer:
             self._spawn(self._run_helper(task))
         return {"accepted": request.repair_id, "role": "helper"}
 
-    async def _compute_local_partial(self, task: _PartialTask) -> None:
+    async def _compute_local_partial(self, task: _RepairTask) -> None:
         request = task.request
         read_gid, read_kw = self._causal_kw(task.ctx, [])
         read_start = trace.now()
@@ -965,27 +901,31 @@ class LiveChunkServer:
         )
         if mul_gid is not None:
             task.state_deps.append(mul_gid)
-        task.add_local(partial)
+        task.wake(task.agg.merge_rows(self.server_id, partial))
 
-    async def _wait_for_inputs(self, task: _PartialTask) -> None:
+    async def _wait_for_inputs(
+        self, task: _RepairTask, index: "Optional[int]" = None
+    ) -> None:
+        """Wait until slice ``index`` — or, when None, every input,
+        children's END trailers included — is aggregated here."""
+        event = task.inputs_ready if index is None else task.slice_events[index]
         try:
             await asyncio.wait_for(
-                task.inputs_ready.wait(),
-                timeout=self.config.partial_wait_timeout,
+                event.wait(), timeout=self.config.partial_wait_timeout
             )
         except asyncio.TimeoutError:
-            missing = set(task.request.children) - task.received
+            what = "partial results" if index is None else f"slice {index}"
             raise LiveRepairError(
-                f"{self.server_id} still missing partial results from "
-                f"{sorted(missing)} for {task.request.repair_id} after "
-                f"{self.config.partial_wait_timeout}s"
+                f"{self.server_id} still missing {what} from "
+                f"{task.agg.missing(index)} for {task.request.repair_id} "
+                f"after {self.config.partial_wait_timeout}s"
             ) from None
         if task.aborted:
             raise RepairAbortedError(
                 f"repair {task.request.repair_id} aborted at {self.server_id}"
             )
 
-    async def _run_helper(self, task: _PartialTask) -> None:
+    async def _run_helper(self, task: _RepairTask) -> None:
         """Aggregate the subtree, then forward the partial upstream."""
         request = task.request
         try:
@@ -999,28 +939,14 @@ class LiveChunkServer:
         self.tasks.pop(request.repair_id, None)
         if parent_addr is None or not self.alive:
             return
-        nbytes = trace.buffers_nbytes(task.partial)  # type: ignore[arg-type]
-        task.traffic.append(
-            trace.traffic_record(self.server_id, parent, nbytes)
-        )
+        partial = task.agg.partial
+        nbytes = trace.buffers_nbytes(partial)  # type: ignore[arg-type]
         await self._pace_repair(nbytes)
-        client = self.pool.get(parent_addr)
-        upstream: "Dict[str, object]" = {
-            "repair_id": request.repair_id,
-            "sender": self.server_id,
-            "trace": task.trace,
-            "traffic": task.traffic,
-            "sent_at": trace.now(),
-        }
-        if task.ctx is not None:
-            # The receiver's network record depends on everything this
-            # subtree folded into the outgoing partial.
-            upstream["sent_deps"] = list(task.state_deps)
         try:
-            await client.call(
+            await self.pool.get(parent_addr).call(
                 MessageType.PARTIAL_RESULT,
-                upstream,
-                buffers=task.partial,
+                self._upstream(task, nbytes),
+                buffers=partial,
                 timeout=self.config.rpc_timeout,
             )
         except RpcError:
@@ -1029,31 +955,31 @@ class LiveChunkServer:
             # here — the partial dies with this attempt.
             return
 
+    def _upstream(
+        self, task: _RepairTask, nbytes: int, **extra: object
+    ) -> "Dict[str, object]":
+        """The payload that carries a hop's records to the parent."""
+        parent = task.request.parent
+        assert parent is not None
+        task.traffic.append(trace.traffic_record(self.server_id, parent, nbytes))
+        upstream: "Dict[str, object]" = {
+            "repair_id": task.request.repair_id,
+            "sender": self.server_id,
+            **extra,
+            "trace": task.trace,
+            "traffic": task.traffic,
+            "sent_at": trace.now(),
+        }
+        if task.ctx is not None:
+            # The receiver's network record depends on everything this
+            # subtree folded into the outgoing partial.
+            upstream["sent_deps"] = list(task.state_deps)
+        return upstream
+
     # ------------------------------------------------------------------
     # Streamed PPR: pipelined per-slice forwarding (wire v2)
     # ------------------------------------------------------------------
-    async def _wait_slice(self, task: _PartialTask, index: int) -> None:
-        """Wait until slice ``index`` is fully aggregated at this node."""
-        try:
-            await asyncio.wait_for(
-                task.slice_event(index).wait(),
-                timeout=self.config.partial_wait_timeout,
-            )
-        except asyncio.TimeoutError:
-            missing = set(task.request.children) - task.slice_got.get(
-                index, set()
-            )
-            raise LiveRepairError(
-                f"{self.server_id} still missing slice {index} from "
-                f"{sorted(missing)} for {task.request.repair_id} after "
-                f"{self.config.partial_wait_timeout}s"
-            ) from None
-        if task.aborted:
-            raise RepairAbortedError(
-                f"repair {task.request.repair_id} aborted at {self.server_id}"
-            )
-
-    async def _run_helper_streaming(self, task: _PartialTask) -> None:
+    async def _run_helper_streaming(self, task: _RepairTask) -> None:
         """Forward the aggregate upstream as S pipelined slices.
 
         Slice ``i`` leaves the moment the local partial and every child's
@@ -1073,29 +999,25 @@ class LiveChunkServer:
             self.pool.get(parent_addr), stream_id, self.config
         )
         try:
-            bounds = slice_bounds(task.row_len, request.num_slices)
             await sender.begin(
                 {
                     "repair_id": request.repair_id,
                     "sender": self.server_id,
                     "num_slices": request.num_slices,
-                    "row_len": task.row_len,
+                    "row_len": task.agg.row_len,
                     "sent_at": trace.now(),
                 }
             )
             for index in range(request.num_slices):
-                await self._wait_slice(task, index)
+                await self._wait_for_inputs(task, index)
                 if index == self.stall_stream_at_slice:
                     # Test hook: wedge forever *between* slices.  The
                     # connection stays up and PING still answers — the
                     # exact failure mode only the stalled-stream
                     # watchdog downstream can diagnose.
                     await asyncio.Event().wait()
-                lo, hi = bounds[index], bounds[index + 1]
-                segments = {
-                    row: buf[lo:hi]
-                    for row, buf in sorted(task.partial.items())
-                }
+                lo, hi = task.agg.bounds[index], task.agg.bounds[index + 1]
+                segments = task.agg.slice_rows(index)
                 await self._pace_repair(float(hi - lo) * len(segments))
                 await sender.data(
                     {"slice_index": index, "offset": lo}, segments
@@ -1103,21 +1025,10 @@ class LiveChunkServer:
             # The END trailer carries the subtree's records, so it must
             # wait for every child's own END (buffers are already gone).
             await self._wait_for_inputs(task)
-            nbytes = trace.buffers_nbytes(task.partial)  # type: ignore[arg-type]
-            task.traffic.append(
-                trace.traffic_record(self.server_id, parent, nbytes)
+            nbytes = trace.buffers_nbytes(task.agg.partial)  # type: ignore[arg-type]
+            await sender.end(
+                self._upstream(task, nbytes, slices_sent=request.num_slices)
             )
-            trailer: "Dict[str, object]" = {
-                "repair_id": request.repair_id,
-                "sender": self.server_id,
-                "slices_sent": request.num_slices,
-                "trace": task.trace,
-                "traffic": task.traffic,
-                "sent_at": trace.now(),
-            }
-            if task.ctx is not None:
-                trailer["sent_deps"] = list(task.state_deps)
-            await sender.end(trailer)
         except (LiveRepairError, RepairAbortedError, RpcError, StreamError) as exc:
             # Tell the parent now so it can free stream state instead of
             # waiting out its own slice timeout; the coordinator replans.
@@ -1176,12 +1087,12 @@ class LiveChunkServer:
         try:
             task = await self._wait_for_plan(stream.repair_id)
             num_slices = int(stream.begin.get("num_slices", 1))  # type: ignore[arg-type]
-            if num_slices != task.num_slices:
+            if num_slices != task.agg.num_slices:
                 raise StreamError(
                     f"stream {stream.stream_id} carries {num_slices} "
-                    f"slices but the plan says {task.num_slices}"
+                    f"slices but the plan says {task.agg.num_slices}"
                 )
-            task.set_row_len(int(stream.begin.get("row_len", 0)))  # type: ignore[arg-type]
+            task.agg.set_row_len(int(stream.begin.get("row_len", 0)))  # type: ignore[arg-type]
             while True:
                 frame = await stream.next_frame()
                 if frame is None:
@@ -1203,8 +1114,13 @@ class LiveChunkServer:
             stream.consumed.set()
             self.inbox.discard(stream.stream_id)
 
-    async def _wait_for_plan(self, repair_id: str) -> _PartialTask:
-        """The repair task for ``repair_id``, waiting out plan races."""
+    async def _wait_for_plan(self, repair_id: str) -> _RepairTask:
+        """The repair task for ``repair_id``, waiting out plan races.
+
+        A stream or an unsliced partial result may land before the plan
+        command that tells this server what to do with it; it waits here,
+        bounded by ``partial_wait_timeout``.
+        """
         task = self.tasks.get(repair_id)
         if task is not None:
             return task
@@ -1221,19 +1137,23 @@ class LiveChunkServer:
             ) from None
         task = self.tasks.get(repair_id)
         if task is None:
-            raise StreamError(f"repair {repair_id} vanished before its plan")
+            # The event was set by REPAIR_ABORT or shutdown, not a plan.
+            raise RepairAbortedError(
+                f"repair {repair_id} aborted at {self.server_id} before "
+                f"its plan arrived"
+            )
         return task
 
     def _merge_stream_frame(
-        self, task: _PartialTask, stream: InboundStream, frame: Frame
+        self, task: _RepairTask, stream: InboundStream, frame: Frame
     ) -> None:
         payload = frame.payload
         slice_index = int(payload["slice_index"])  # type: ignore[arg-type]
         offset = int(payload["offset"])  # type: ignore[arg-type]
         nbytes = trace.buffers_nbytes(frame.buffers)  # type: ignore[arg-type]
         merge_start = trace.now()
-        merged = task.merge_segment(
-            stream.sender, slice_index, offset, frame.buffers
+        merged = task.wake(
+            task.agg.merge(stream.sender, slice_index, offset, frame.buffers)
         )
         if not merged:
             return  # duplicate segment (RPC retry)
@@ -1255,7 +1175,7 @@ class LiveChunkServer:
         )
 
     def _finish_stream(
-        self, task: _PartialTask, stream: InboundStream
+        self, task: _RepairTask, stream: InboundStream
     ) -> None:
         """Process a stream's END trailer: the hop's one network record."""
         trailer = stream.end_payload or {}
@@ -1264,138 +1184,60 @@ class LiveChunkServer:
         begin_sent_at = float(
             stream.begin.get("sent_at", stream.opened_at or trace.now())  # type: ignore[arg-type]
         )
-        sent_deps = [
-            d
-            for d in trailer.get("sent_deps", [])  # type: ignore[union-attr]
-            if isinstance(d, str)
-        ]
-        net_deps = list(sent_deps)
-        if task.last_net_gid is not None:
-            # Same ingress-serialization edge as the unsliced path: the
-            # stream occupies this node's link as one logical transfer.
-            net_deps.append(task.last_net_gid)
-        net_gid, net_kw = self._causal_kw(task.ctx, net_deps)
-        if net_gid is not None:
+        net_gid = self._record_arrival(
+            task,
+            task.ctx,
+            trailer,
             # The END frame is the send/recv pair clock-offset estimation
             # sees: its raw sender timestamp against our processing time
             # is a genuine small latency.  BEGIN's timestamp would fold
             # the whole pipelined stream duration into the "offset".
-            net_kw["sent_at"] = float(trailer.get("sent_at", begin_sent_at))  # type: ignore[arg-type]
-        start, end = trace.clip_interval(begin_sent_at, trace.now())
-        sub_trace.append(
-            self._account(
-                trace.phase_record(
-                    "network",
-                    start,
-                    end,
-                    self.server_id,
-                    nbytes=stream.bytes_received,
-                    src=stream.sender,
-                    slices=int(stream.begin.get("num_slices", 1)),  # type: ignore[arg-type]
-                    streamed=True,
-                    **net_kw,  # type: ignore[arg-type]
-                )
-            )
+            float(trailer.get("sent_at", begin_sent_at)),  # type: ignore[arg-type]
+            trace.clip_interval(begin_sent_at, trace.now()),
+            sub_trace,
+            nbytes=stream.bytes_received,
+            src=stream.sender,
+            slices=int(stream.begin.get("num_slices", 1)),  # type: ignore[arg-type]
+            streamed=True,
         )
         if net_gid is not None:
-            task.last_net_gid = net_gid
             task.state_deps.append(net_gid)
-        task.add_remote_stream(stream.sender, sub_trace, sub_traffic)
+        if task.agg.end(stream.sender):
+            task.trace.extend(sub_trace)
+            task.traffic.extend(sub_traffic)
+            task.wake([])
 
     # ------------------------------------------------------------------
     # PPR: partial results from children
     # ------------------------------------------------------------------
-    def _adopt_orphans(self, task: _PartialTask) -> None:
-        orphans = self._orphans.pop(task.request.repair_id, [])
-        for orphan in orphans:
-            if orphan.net_gid is not None:
-                # Splice the buffered ingress record into the task's
-                # causal chain as if it had just arrived: chain it on the
-                # previous arrival and make downstream state depend on it.
-                if task.last_net_gid is not None:
-                    for record in orphan.sub_trace:
-                        if record.get("gid") == orphan.net_gid:
-                            deps = record.setdefault("deps", [])
-                            if isinstance(deps, list):
-                                deps.append(task.last_net_gid)
-                            break
-                task.last_net_gid = orphan.net_gid
-                task.state_deps.append(orphan.net_gid)
-            task.add_remote(
-                orphan.sender,
-                orphan.buffers,
-                orphan.sub_trace,
-                orphan.sub_traffic,
-            )
-
-    def _gc_orphans(self) -> None:
-        horizon = trace.now() - 2 * self.config.partial_wait_timeout
-        for repair_id in list(self._orphans):
-            kept = [
-                o for o in self._orphans[repair_id] if o.arrived > horizon
-            ]
-            if kept:
-                self._orphans[repair_id] = kept
-            else:
-                del self._orphans[repair_id]
-
     async def _on_partial_result(self, frame: Frame) -> "Dict[str, object]":
+        arrived = trace.now()
         payload = frame.payload
         repair_id = str(payload["repair_id"])
         sender = str(payload["sender"])
         sub_trace = list(payload.get("trace", []))  # type: ignore[arg-type]
         sub_traffic = list(payload.get("traffic", []))  # type: ignore[arg-type]
-        sent_at = float(payload.get("sent_at", trace.now()))  # type: ignore[arg-type]
-        task = self.tasks.get(repair_id)
+        sent_at = float(payload.get("sent_at", arrived))  # type: ignore[arg-type]
         ctx = causal.current()
-        sent_deps = [
-            d for d in payload.get("sent_deps", []) if isinstance(d, str)  # type: ignore[union-attr]
-        ]
-        net_deps = list(sent_deps)
-        if task is not None and task.last_net_gid is not None:
-            # Ingress serialization: arrivals share this node's link, so
-            # each transfer causally follows the previous one (this edge
-            # is what realizes Theorem 1's ceil(log2(k+1)) step count).
-            net_deps.append(task.last_net_gid)
-        net_gid, net_kw = self._causal_kw(ctx, net_deps)
-        if net_gid is not None:
-            # Raw sender clock: clip() below destroys the send/recv pair
-            # that clock-offset estimation needs.
-            net_kw["sent_at"] = sent_at
-        start, end = trace.clip_interval(sent_at, trace.now())
-        sub_trace.append(
-            self._account(
-                trace.phase_record(
-                    "network",
-                    start,
-                    end,
-                    self.server_id,
-                    nbytes=trace.buffers_nbytes(frame.buffers),  # type: ignore[arg-type]
-                    src=sender,
-                    **net_kw,  # type: ignore[arg-type]
-                )
-            )
+        task = await self._wait_for_plan(repair_id)
+        net_gid = self._record_arrival(
+            task,
+            ctx,
+            payload,
+            sent_at,
+            trace.clip_interval(sent_at, arrived),
+            sub_trace,
+            nbytes=trace.buffers_nbytes(frame.buffers),  # type: ignore[arg-type]
+            src=sender,
         )
-        if task is not None and net_gid is not None:
-            task.last_net_gid = net_gid
-        if task is None:
-            self._gc_orphans()
-            self._orphans.setdefault(repair_id, []).append(
-                _OrphanPartial(
-                    sender=sender,
-                    buffers=frame.buffers,
-                    sub_trace=sub_trace,
-                    sub_traffic=sub_traffic,
-                    arrived=trace.now(),
-                    net_gid=net_gid,
-                )
-            )
-            return {"merged": False, "buffered": True}
         merge_start = trace.now()
-        merged = task.add_remote(
-            sender, frame.buffers, sub_trace, sub_traffic
-        )
+        ready = task.agg.merge_rows(sender, frame.buffers)
+        merged = ready is not None
         if merged:
+            task.agg.end(sender)
+            task.trace.extend(sub_trace)
+            task.traffic.extend(sub_traffic)
+            task.wake(ready)
             merge_deps = ([net_gid] if net_gid else []) + task.state_deps
             merge_gid, merge_kw = self._causal_kw(task.ctx, merge_deps)
             task.trace.append(
@@ -1411,13 +1253,13 @@ class LiveChunkServer:
             )
             if merge_gid is not None:
                 task.state_deps = [merge_gid]
-        return {"merged": merged, "buffered": False}
+        return {"merged": merged}
 
     # ------------------------------------------------------------------
     # PPR: destination role
     # ------------------------------------------------------------------
     async def _finish_as_destination(
-        self, task: _PartialTask, frame: Frame
+        self, task: _RepairTask, frame: Frame
     ) -> "Tuple[Dict[str, object], Dict[int, np.ndarray]]":
         request = task.request
         try:
@@ -1425,66 +1267,57 @@ class LiveChunkServer:
         finally:
             self.tasks.pop(request.repair_id, None)
         assemble_start = trace.now()
-        row_len = -1
-        for buf in task.partial.values():
-            row_len = buf.size
-            break
-        if row_len <= 0:
+        try:
+            chunk_payload = task.agg.assemble()
+        except CodingError:
             raise LiveRepairError(
                 f"destination {self.server_id} holds no partial rows for "
                 f"{request.repair_id}"
-            )
-        chunk_payload = np.zeros(request.rows * row_len, dtype=np.uint8)
-        view = chunk_payload.reshape(request.rows, row_len)
-        for row, buf in task.partial.items():
-            view[row] = buf
-        asm_gid, asm_kw = self._causal_kw(task.ctx, task.state_deps)
-        task.trace.append(
-            self._account(
-                trace.phase_record(
-                    "compute",
-                    assemble_start,
-                    trace.now(),
-                    self.server_id,
-                    nbytes=int(chunk_payload.nbytes),
-                    **asm_kw,  # type: ignore[arg-type]
-                )
-            )
-        )
-        if asm_gid is not None:
-            task.state_deps = [asm_gid]
-        await self._commit_chunk(
+            ) from None
+        return await self._commit_chunk(
             task,
-            chunk_id=str(frame.payload["lost_chunk_id"]),
-            stripe_id=request.stripe_id,
-            index=int(frame.payload["lost_index"]),  # type: ignore[arg-type]
-            payload=chunk_payload,
-        )
-        return (
-            {
-                "repair_id": request.repair_id,
-                "destination": self.server_id,
-                "trace": task.trace,
-                "traffic": task.traffic,
-            },
-            {0: chunk_payload},
+            request.repair_id,
+            request.stripe_id,
+            frame.payload,
+            assemble_start,
+            chunk_payload,
+            nbytes=int(chunk_payload.nbytes),
         )
 
     async def _commit_chunk(
         self,
-        task: _PartialTask,
-        chunk_id: str,
+        task: _RepairTrace,
+        repair_id: str,
         stripe_id: str,
-        index: int,
+        lost: "Dict[str, object]",
+        compute_start: float,
         payload: np.ndarray,
-    ) -> None:
-        """Store the rebuilt chunk and tell the meta-server (disk_write)."""
+        **compute_attrs: object,
+    ) -> "Tuple[Dict[str, object], Dict[int, np.ndarray]]":
+        """Record the rebuild's compute, store the chunk (disk_write), tell
+        the meta-server, and answer the coordinator's deferred call."""
+        compute_gid, compute_kw = self._causal_kw(task.ctx, task.state_deps)
+        task.trace.append(
+            self._account(
+                trace.phase_record(
+                    "compute",
+                    compute_start,
+                    trace.now(),
+                    self.server_id,
+                    **compute_attrs,
+                    **compute_kw,  # type: ignore[arg-type]
+                )
+            )
+        )
+        if compute_gid is not None:
+            task.state_deps = [compute_gid]
+        chunk_id = str(lost["lost_chunk_id"])
         _, write_kw = self._causal_kw(task.ctx, task.state_deps)
         write_start = trace.now()
         self.chunks[chunk_id] = LiveChunk(
             chunk_id=chunk_id,
             stripe_id=stripe_id,
-            index=index,
+            index=int(lost["lost_index"]),  # type: ignore[arg-type]
             payload=payload,
         )
         task.trace.append(
@@ -1511,6 +1344,15 @@ class LiveChunkServer:
                 )
             except RpcError:
                 pass  # metadata catches up via the next repair/lookup
+        return (
+            {
+                "repair_id": repair_id,
+                "destination": self.server_id,
+                "trace": task.trace,
+                "traffic": task.traffic,
+            },
+            {0: payload},
+        )
 
     # ------------------------------------------------------------------
     # Star / staggered: destination pulls raw rows and decodes centrally
@@ -1528,23 +1370,7 @@ class LiveChunkServer:
             int(index): dict(spec)  # type: ignore[arg-type]
             for index, spec in dict(payload["helpers"]).items()  # type: ignore[arg-type]
         }
-        task = _PartialTask(
-            request=PartialOpRequest(
-                repair_id=repair_id,
-                stripe_id=stripe_id,
-                chunk_id=None,
-                entries=(),
-                rows=recipe.rows,
-                chunk_size=float(payload.get("chunk_size", 0.0)),  # type: ignore[arg-type]
-                children=(),
-                parent=None,
-                send_rows=frozenset(),
-                send_fraction=0.0,
-                read_fraction=0.0,
-            ),
-            peers={},
-            ctx=causal.current(),
-        )
+        task = _RepairTrace(ctx=causal.current())
 
         raw: "Dict[int, Dict[int, np.ndarray]]" = {}
 
@@ -1567,35 +1393,20 @@ class LiveChunkServer:
                 timeout=self.config.rpc_timeout,
             )
             sent_at = float(response.payload.get("sent_at", trace.now()))  # type: ignore[arg-type]
-            net_deps = [
-                d
-                for d in response.payload.get("sent_deps", [])  # type: ignore[union-attr]
-                if isinstance(d, str)
-            ]
-            if staggered and task.last_net_gid is not None:
+            net_gid = self._record_arrival(
+                task,
+                task.ctx,
+                response.payload,
+                sent_at,
+                trace.clip_interval(sent_at, trace.now()),
+                task.trace,
                 # Sequential fetches serialize on this node's ingress
                 # link; concurrent star fetches deliberately do not chain.
-                net_deps.append(task.last_net_gid)
-            net_gid, net_kw = self._causal_kw(task.ctx, net_deps)
-            if net_gid is not None:
-                net_kw["sent_at"] = sent_at
-            start, end = trace.clip_interval(sent_at, trace.now())
-            task.trace.append(
-                self._account(
-                    trace.phase_record(
-                        "network",
-                        start,
-                        end,
-                        self.server_id,
-                        nbytes=trace.buffers_nbytes(response.buffers),  # type: ignore[arg-type]
-                        src=helper_id,
-                        **net_kw,  # type: ignore[arg-type]
-                    )
-                )
+                chain=staggered,
+                nbytes=trace.buffers_nbytes(response.buffers),  # type: ignore[arg-type]
+                src=helper_id,
             )
             if net_gid is not None:
-                if staggered:
-                    task.last_net_gid = net_gid
                 task.state_deps.append(net_gid)
             task.trace.extend(list(response.payload.get("trace", [])))  # type: ignore[arg-type]
             task.traffic.append(
@@ -1622,37 +1433,10 @@ class LiveChunkServer:
 
         if self.config.compute_delay:
             await asyncio.sleep(self.config.compute_delay)
-        decode_gid, decode_kw = self._causal_kw(task.ctx, task.state_deps)
         compute_start = trace.now()
         chunk_payload = recipe.execute_rows(raw)
-        task.trace.append(
-            self._account(
-                trace.phase_record(
-                    "compute",
-                    compute_start,
-                    trace.now(),
-                    self.server_id,
-                    **decode_kw,  # type: ignore[arg-type]
-                )
-            )
-        )
-        if decode_gid is not None:
-            task.state_deps = [decode_gid]
-        await self._commit_chunk(
-            task,
-            chunk_id=str(payload["lost_chunk_id"]),
-            stripe_id=stripe_id,
-            index=int(payload["lost_index"]),  # type: ignore[arg-type]
-            payload=chunk_payload,
-        )
-        return (
-            {
-                "repair_id": repair_id,
-                "destination": self.server_id,
-                "trace": task.trace,
-                "traffic": task.traffic,
-            },
-            {0: chunk_payload},
+        return await self._commit_chunk(
+            task, repair_id, stripe_id, payload, compute_start, chunk_payload
         )
 
     # ------------------------------------------------------------------
@@ -1663,6 +1447,8 @@ class LiveChunkServer:
         task = self.tasks.pop(repair_id, None)
         if task is not None:
             task.abort()
-        self._orphans.pop(repair_id, None)
+        plan_event = self._plan_events.pop(repair_id, None)
+        if plan_event is not None:
+            plan_event.set()  # inputs waiting for this plan fail at once
         self.inbox.abort_repair(repair_id, "repair aborted by coordinator")
         return {"aborted": task is not None}

@@ -55,6 +55,8 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import ReproError, WireFormatError
+# The slicing rule both ends of a stream must share (docs/PROTOCOL.md).
+from repro.repair.aggregate import slice_bounds  # noqa: F401
 
 MAGIC = b"PP"
 #: Version stamped on every emitted frame.
@@ -136,20 +138,6 @@ class Frame:
             str(self.payload.get("error", "ReproError")),
             str(self.payload.get("message", "")),
         )
-
-
-def slice_bounds(length: int, num_slices: int) -> "List[int]":
-    """Byte offsets cutting a ``length``-byte row into ``num_slices``.
-
-    Returns ``num_slices + 1`` monotone offsets starting at 0 and ending
-    at ``length``; segment ``i`` is ``[bounds[i], bounds[i+1])``.  Slices
-    differ in size by at most one byte, and rows shorter than the slice
-    count simply yield empty tail segments — both ends of a stream must
-    use this same rule, so it is part of the protocol (docs/PROTOCOL.md).
-    """
-    if num_slices < 1:
-        raise WireFormatError(f"num_slices must be >= 1, got {num_slices}")
-    return [length * i // num_slices for i in range(num_slices + 1)]
 
 
 def frame_parts(frame: Frame) -> "List[Union[bytes, memoryview]]":

@@ -20,8 +20,6 @@ from repro.errors import (
     StreamError,
     WireFormatError,
 )
-from repro.fs.messages import PartialOpRequest
-from repro.live.chunkserver import _PartialTask
 from repro.live.config import LiveConfig
 from repro.live.rpc import (
     InboundStream,
@@ -41,6 +39,7 @@ from repro.live.wire import (
     read_frame,
     slice_bounds,
 )
+from repro.repair.aggregate import PartialAggregation
 
 CONFIG = LiveConfig(
     connect_timeout=1.0,
@@ -166,20 +165,27 @@ class TestWireV2Encoding:
 
 
 class TestSliceBounds:
-    @pytest.mark.parametrize("length", [0, 1, 7, 64, 1152])
-    @pytest.mark.parametrize("num_slices", [1, 2, 7, 64, 200])
+    """The one slicing rule, shared by both stream ends and the simulator."""
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 7, 10, 64, 1152])
+    @pytest.mark.parametrize("num_slices", [1, 2, 3, 5, 7, 64, 200])
     def test_partition_covers_exactly(self, length, num_slices):
         bounds = slice_bounds(length, num_slices)
         assert len(bounds) == num_slices + 1
         assert bounds[0] == 0 and bounds[-1] == length
         assert all(a <= b for a, b in zip(bounds, bounds[1:]))
-        total = sum(b - a for a, b in zip(bounds, bounds[1:]))
-        assert total == length
+        sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+        assert sum(sizes) == length
+        if num_slices > length:
+            assert 0 in sizes  # more slices than bytes: empty tails, no error
+        if num_slices == 1:
+            assert bounds == [0, length]  # one slice is the whole row
 
     def test_balanced_within_one_byte(self):
-        bounds = slice_bounds(1000, 7)
-        sizes = [b - a for a, b in zip(bounds, bounds[1:])]
-        assert max(sizes) - min(sizes) <= 1
+        for length, num_slices in ((1000, 7), (10, 3)):
+            bounds = slice_bounds(length, num_slices)
+            sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+            assert max(sizes) - min(sizes) <= 1
 
     def test_rejects_zero_slices(self):
         with pytest.raises(WireFormatError):
@@ -187,26 +193,17 @@ class TestSliceBounds:
 
 
 # ----------------------------------------------------------------------
-# Per-slice GF aggregation state (_PartialTask)
+# Per-slice GF aggregation state (the shared PartialAggregation core)
 # ----------------------------------------------------------------------
-def make_task(children=("cs-01", "cs-02"), num_slices=4, chunk_id=None):
-    request = PartialOpRequest(
-        repair_id="r1",
-        stripe_id="s1",
-        chunk_id=chunk_id,
-        entries=(),
+def make_task(children=("cs-01", "cs-02"), num_slices=4):
+    return PartialAggregation(
+        "r1",
+        children,
+        own=None,
         rows=2,
-        chunk_size=64.0,
-        children=tuple(children),
-        parent="cs-09",
-        send_rows=frozenset(),
-        send_fraction=1.0,
-        read_fraction=1.0,
         num_slices=num_slices,
+        row_len=16,
     )
-    task = _PartialTask(request=request, peers={})
-    task.set_row_len(16)
-    return task
 
 
 class TestSliceAggregation:
@@ -224,38 +221,38 @@ class TestSliceAggregation:
         ):
             for index in order:
                 lo, hi = bounds[index], bounds[index + 1]
-                assert task.merge_segment(
+                assert task.merge(
                     sender, index, lo, {0: whole[0][lo:hi]}
-                )
+                ) is not None
         expected = RepairRecipe.merge_partials(a, b)
         assert np.array_equal(task.partial[0], expected[0])
         # every slice is now ready (no local chunk on this node)
         for index in range(4):
-            assert task.slice_event(index).is_set()
+            assert task.is_ready(index)
 
     def test_duplicate_segment_is_ignored(self):
         task = make_task(children=("cs-01",), num_slices=2)
         seg = np.arange(8, dtype=np.uint8)
-        assert task.merge_segment("cs-01", 0, 0, {0: seg})
+        assert task.merge("cs-01", 0, 0, {0: seg}) is not None
         before = task.partial[0].copy()
         # RPC retry redelivers the same segment: must not double-XOR.
-        assert not task.merge_segment("cs-01", 0, 0, {0: seg})
+        assert task.merge("cs-01", 0, 0, {0: seg}) is None
         assert np.array_equal(task.partial[0], before)
 
     def test_unknown_sender_is_rejected(self):
         task = make_task(children=("cs-01",))
         with pytest.raises(StreamError):
-            task.merge_segment("cs-99", 0, 0, {0: np.zeros(4, np.uint8)})
+            task.merge("cs-99", 0, 0, {0: np.zeros(4, np.uint8)})
 
     def test_slice_index_out_of_range(self):
         task = make_task(num_slices=2)
         with pytest.raises(StreamError):
-            task.merge_segment("cs-01", 2, 0, {0: np.zeros(4, np.uint8)})
+            task.merge("cs-01", 2, 0, {0: np.zeros(4, np.uint8)})
 
     def test_segment_overrun_is_rejected(self):
         task = make_task()
         with pytest.raises(StreamError):
-            task.merge_segment("cs-01", 0, 12, {0: np.zeros(8, np.uint8)})
+            task.merge("cs-01", 0, 12, {0: np.zeros(8, np.uint8)})
 
     def test_row_len_mismatch_is_rejected(self):
         task = make_task()
@@ -264,11 +261,39 @@ class TestSliceAggregation:
 
     def test_slice_waits_for_all_children(self):
         task = make_task(children=("cs-01", "cs-02"), num_slices=2)
-        task.merge_segment("cs-01", 0, 0, {0: np.ones(8, np.uint8)})
-        assert not task.slice_event(0).is_set()
-        task.merge_segment("cs-02", 0, 0, {0: np.ones(8, np.uint8)})
-        assert task.slice_event(0).is_set()
-        assert not task.slice_event(1).is_set()
+        task.merge("cs-01", 0, 0, {0: np.ones(8, np.uint8)})
+        assert not task.is_ready(0)
+        task.merge("cs-02", 0, 0, {0: np.ones(8, np.uint8)})
+        assert task.is_ready(0)
+        assert not task.is_ready(1)
+
+    def test_overrun_in_a_later_row_leaves_earlier_rows_untouched(self):
+        """Every row is checked before any row is XORed."""
+        task = make_task(children=("cs-01",), num_slices=1)
+        with pytest.raises(StreamError):
+            task.merge(
+                "cs-01",
+                0,
+                8,
+                {0: np.ones(8, np.uint8), 1: np.ones(9, np.uint8)},
+            )
+        assert task.partial == {}
+        # The contributor was not recorded either: a correct retry merges,
+        # and row 0 holds its bytes once (a half-applied merge would have
+        # cancelled them to zero).
+        assert task.merge("cs-01", 0, 8, {0: np.ones(8, np.uint8)}) == [0]
+        expected = np.concatenate([np.zeros(8, np.uint8), np.ones(8, np.uint8)])
+        assert np.array_equal(task.partial[0], expected)
+
+    @pytest.mark.parametrize("row", [-1, 2])
+    def test_out_of_range_row_is_rejected(self, row):
+        """A row key outside ``0 <= row < rows`` is a typed error, never a
+        silent write to another row or an IndexError."""
+        task = make_task(children=("cs-01",), num_slices=1)
+        with pytest.raises(StreamError):
+            task.merge("cs-01", 0, 0, {row: np.ones(16, np.uint8)})
+        assert task.partial == {}
+        assert task.missing(0) == ["cs-01"]
 
 
 # ----------------------------------------------------------------------
